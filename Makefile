@@ -34,12 +34,16 @@ check: lint test
 # plus tiny kernel- and planner-benchmark passes that check the
 # vectorized engines still agree with their scalar references and a
 # 2-shard sharded plan (chunked store, 2 pool workers) checked against
-# the unsharded array engine.
+# the unsharded array engine.  The two perfbench runs plan the paper's
+# four datacenters and the sharded fleet at full scale and fail on any
+# planner decision that moves an answer pinned in perfbench/expected.json.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_runner_sweep.py -q -s
 	$(PYTHON) benchmarks/bench_kernels.py --smoke
 	$(PYTHON) benchmarks/bench_generation.py --smoke
 	$(PYTHON) benchmarks/bench_planners.py --smoke
+	$(PYTHON) perfbench/run.py --workload paper-grid --seconds 1
+	$(PYTHON) perfbench/run.py --workload sharded-fleet --seconds 1
 
 # Re-pin the committed benchmark numbers (paper-scale instances, see
 # docs/PERFORMANCE.md); review the JSON diffs like any other change.

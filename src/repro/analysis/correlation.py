@@ -164,11 +164,12 @@ def cluster_by_peaks(
     the number of servers — the property that made it deployable on
     thousand-server engagements.
 
-    ``engine="matrix"`` (what ``"auto"`` picks) evaluates each server's
-    Jaccard similarity against *all* representatives in one masked
-    count; the intersection/union counts are integers, so the decisions
-    are bit-identical to the scalar :func:`envelope_similarity` scan
-    (``"scalar"``).
+    ``engine="matrix"`` (what ``"auto"`` picks) derives every envelope
+    from one row-wise quantile over the CPU matrix and every pairwise
+    envelope intersection from one 0/1 matrix product; the greedy scan
+    then only indexes those integer counts (union = |a| + |b| - |a∩b|),
+    so the decisions are bit-identical to the scalar
+    :func:`envelope_similarity` scan (``"scalar"``).
     """
     if len(trace_set) == 0:
         raise TraceError(f"trace set {trace_set.name!r} is empty")
@@ -182,6 +183,63 @@ def cluster_by_peaks(
             f"unknown engine {engine!r}; expected 'auto', 'matrix' or "
             "'scalar'"
         )
+    if engine == "scalar":
+        return _cluster_scalar(
+            trace_set, body_quantile, similarity_threshold
+        )
+    matrix = trace_set.cpu_rpe2_matrix()
+    n_vms = matrix.shape[0]
+    envelopes = _peak_envelopes(matrix, body_quantile)
+    # Sums of 0/1 products are exact integers in float32 for series
+    # shorter than 2**24 samples (~1,900 years hourly).
+    indicator = envelopes.astype(np.float32)
+    intersections = indicator @ indicator.T
+    sizes = np.count_nonzero(envelopes, axis=1)
+    peaks = matrix.max(axis=1).tolist()
+    order = sorted(range(n_vms), key=peaks.__getitem__, reverse=True)
+    cluster_of = [0] * n_vms
+    representatives = np.empty(n_vms, dtype=np.intp)
+    n_reps = 0
+    for row in order:
+        chosen = n_reps
+        if n_reps:
+            block = representatives[:n_reps]
+            intersection = intersections[row, block].astype(np.int64)
+            union = sizes[row] + sizes[block] - intersection
+            # Same integer counts as envelope_similarity, so the
+            # quotient (0.0 on empty union) matches it bit for bit.
+            similarity = np.where(
+                union == 0, 0.0, intersection / np.maximum(union, 1)
+            )
+            hits = similarity >= similarity_threshold
+            first = int(np.argmax(hits))
+            if hits[first]:
+                chosen = first
+        if chosen == n_reps:
+            representatives[n_reps] = row
+            n_reps += 1
+        cluster_of[row] = chosen
+    return PeakClusters(
+        vm_ids=tuple(trace_set.vm_ids), cluster_of=tuple(cluster_of)
+    )
+
+
+def _peak_envelopes(matrix: np.ndarray, body_quantile: float) -> np.ndarray:
+    """:func:`peak_envelope` of every row, from one row-wise quantile."""
+    if not 0 < body_quantile < 1:
+        raise TraceError(
+            f"body_quantile must be in (0, 1), got {body_quantile}"
+        )
+    thresholds = np.quantile(matrix, body_quantile, axis=1)
+    # A flat row (threshold at its minimum) has no peaks.
+    flat = thresholds <= matrix.min(axis=1)
+    return (matrix > thresholds[:, None]) & ~flat[:, None]
+
+
+def _cluster_scalar(
+    trace_set: TraceSet, body_quantile: float, similarity_threshold: float
+) -> PeakClusters:
+    """Per-trace reference scan of :func:`cluster_by_peaks`."""
     envelopes = {
         trace.vm_id: peak_envelope(trace.cpu_rpe2, body_quantile)
         for trace in trace_set
@@ -192,46 +250,20 @@ def cluster_by_peaks(
         reverse=True,
     )
     assignment: dict = {}
-    if engine == "scalar":
-        representative_envelopes: List[np.ndarray] = []
-        for trace in order:
-            envelope = envelopes[trace.vm_id]
-            chosen = None
-            for index, representative in enumerate(representative_envelopes):
-                if envelope_similarity(envelope, representative) >= (
-                    similarity_threshold
-                ):
-                    chosen = index
-                    break
-            if chosen is None:
-                chosen = len(representative_envelopes)
-                representative_envelopes.append(envelope)
-            assignment[trace.vm_id] = chosen
-    else:
-        n_points = next(iter(envelopes.values())).size
-        representatives = np.empty((len(order), n_points), dtype=bool)
-        n_reps = 0
-        for trace in order:
-            envelope = envelopes[trace.vm_id]
-            chosen = None
-            if n_reps:
-                block = representatives[:n_reps]
-                intersection = np.count_nonzero(block & envelope, axis=1)
-                union = np.count_nonzero(block | envelope, axis=1)
-                # Same integer counts as envelope_similarity, so the
-                # quotient (0.0 on empty union) matches it bit for bit.
-                similarity = np.where(
-                    union == 0, 0.0, intersection / np.maximum(union, 1)
-                )
-                hits = similarity >= similarity_threshold
-                first = int(np.argmax(hits))
-                if hits[first]:
-                    chosen = first
-            if chosen is None:
-                representatives[n_reps] = envelope
-                chosen = n_reps
-                n_reps += 1
-            assignment[trace.vm_id] = chosen
+    representative_envelopes: List[np.ndarray] = []
+    for trace in order:
+        envelope = envelopes[trace.vm_id]
+        chosen = None
+        for index, representative in enumerate(representative_envelopes):
+            if envelope_similarity(envelope, representative) >= (
+                similarity_threshold
+            ):
+                chosen = index
+                break
+        if chosen is None:
+            chosen = len(representative_envelopes)
+            representative_envelopes.append(envelope)
+        assignment[trace.vm_id] = chosen
     vm_ids = tuple(trace.vm_id for trace in trace_set)
     return PeakClusters(
         vm_ids=vm_ids,

@@ -418,16 +418,6 @@ class DynamicConsolidation(ConsolidationAlgorithm):
             self._cost_cache[key] = cost
         return cost
 
-    def _cached_cost_many(
-        self, memory_gb: Sequence[float]
-    ) -> List[float]:
-        """Batched :meth:`_cached_cost` (array vacate's per-VM costs).
-
-        Keys stay ``round(m, 1)`` — python rounding, not ``np.round`` —
-        so cache entries are shared bit-exactly with the scalar path.
-        """
-        return [self._cached_cost(m) for m in memory_gb]
-
     @staticmethod
     def _idle_watts(host: PhysicalServer) -> float:
         if host.model is not None:

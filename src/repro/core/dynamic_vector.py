@@ -13,10 +13,10 @@ while replacing its per-VM object churn with columnar kernels:
   :class:`~repro.core.incremental.IncrementalPlan` carried across
   intervals (the delta-pack state, shared with the online controller in
   :mod:`repro.service`) instead of rebuilding ``Bin`` objects 360 times;
-* vacate sweeps score sources and candidates with vectorized
-  residual / idle-power / migration-cost arrays and fall back to exact
-  scalar folds only on the short candidate prefix each VM actually
-  scans.
+* vacate sweeps share one fit index per sweep (rebuilt after each
+  commit): the fullest-first candidate order plus each VM row's first
+  admissible position in it, from NumPy masks, so each VM's exact
+  scalar scan starts where a fit is first possible.
 
 Exactness contract (see ``docs/PERFORMANCE.md``): every float the
 reference computes is recomputed here by the *same* IEEE-754 operations
@@ -25,8 +25,8 @@ exactly, comparisons use the identical ``capacity + 1e-9`` slack, and
 all per-host accumulations replay the reference's left folds (the
 plan's append-fold discipline, :meth:`IncrementalPlan.assign`).  The
 only reference behaviours intentionally *not* replayed are pure
-no-state-change shortcuts (skipping a vacate attempt whose cost gate or
-first, largest VM already fails — outcomes the reference also discards).
+no-state-change shortcuts (failing a vacate attempt at once when one of
+its VMs fits no candidate — an outcome the reference also discards).
 Dynamic sizing is :class:`~repro.sizing.functions.MaxSizing`, so every
 demand tail is exactly ``0.0`` and ``x + max(0.0, 0.0)`` reduces to
 ``x`` — the two-term fit checks below match the reference's four-term
@@ -273,52 +273,130 @@ def _vacate_intervals_hosts(
     plan: IncrementalPlan,
     appearance: List[int],
 ) -> None:
-    """Array-backed twin of ``DynamicConsolidation._vacate_hosts``."""
-    n_hosts = host_arrays.n
-    body_cpu = plan.body_cpu
-    vm_rows_of_host = plan.vm_rows_of_host
-    bins_list = appearance
-    # numpy mirrors for vectorized source/candidate scoring; refreshed
-    # only on commits (scalar element writes), so they always equal the
-    # python-float ground truth exactly.
-    body_cpu_np = np.array(body_cpu)
-    body_mem_np = np.array(plan.body_mem)
-    count_np = np.array(
-        [len(rows) for rows in vm_rows_of_host], dtype=np.intp
-    )
-    alive_np = np.zeros(n_hosts, dtype=bool)
-    apps = np.array(bins_list, dtype=np.intp)
-    alive_np[apps] = True
-    interval_hours = context.config.interval_hours
+    """Array-backed twin of ``DynamicConsolidation._vacate_hosts``.
 
+    Plan state changes only when a vacate commits, so every attempt
+    between two commits sees the same fullest-first candidate order;
+    the :class:`_FitIndex` for it is built on the sweep's first attempt
+    and again after each commit.
+    """
+    caps = host_arrays.caps
+    vm_rows_of_host = plan.vm_rows_of_host
+    body_cpu = plan.body_cpu
+    # (bodies, demands, eps) per resource the fit index checks.
+    resources = [
+        (body_cpu, np.array(plan.cpu), caps.eps_cpu_np),
+        (plan.body_mem, np.array(plan.mem), caps.eps_mem_np),
+    ]
+    for body, values, eps in (
+        (plan.body_net, plan.net, caps.eps_net_np),
+        (plan.body_dsk, plan.dsk, caps.eps_dsk_np),
+    ):
+        # All-zero I/O demand keeps every body at 0.0, and
+        # 0.0 + 0.0 <= eps admits every row on every host.
+        if any(values):
+            resources.append((body, np.array(values), eps))
+    interval_hours = context.config.interval_hours
+    live = appearance
     for _ in range(algorithm.max_vacate_sweeps):
+        if len(live) <= 1:
+            break
         changed = False
-        live = [h for h in bins_list if alive_np[h]]
-        n_bins = len(live)
-        live_arr = np.array(live, dtype=np.intp)
         # Snapshot source order: (vm count, used cpu), appearance-stable.
-        source_order = np.lexsort(
-            (
-                np.arange(n_bins),
-                body_cpu_np[live_arr],
-                count_np[live_arr],
-            )
+        sources = sorted(
+            live, key=lambda h: (len(vm_rows_of_host[h]), body_cpu[h])
         )
-        for source_pos in source_order:
-            source = live[int(source_pos)]
-            if not vm_rows_of_host[source] or n_bins <= 1:
+        index: Optional[_FitIndex] = None
+        for position, source in enumerate(sources):
+            if not vm_rows_of_host[source]:
                 continue
+            if index is None:
+                index = _FitIndex(caps, plan, live, resources, sources)
+            index.cover(position)
             if _try_vacate_array(
-                algorithm, host_arrays, plan, source,
-                apps, alive_np, count_np, body_cpu_np, body_mem_np,
-                interval_hours,
+                algorithm, host_arrays, plan, source, index, interval_hours
             ):
                 changed = True
-        for host in live:
-            if not vm_rows_of_host[host]:
-                alive_np[host] = False
+                index = None
+        live = [h for h in live if vm_rows_of_host[h]]
         if not changed:
             break
+
+
+class _FitIndex:
+    """A sweep's candidate order and its VM rows' first admissible positions.
+
+    ``order`` is the live non-empty hosts sorted by the reference's
+    ``Bin.residual`` (min normalized slack), stable on appearance — each
+    source's candidate list is this order minus the source itself.
+    ``first[row]`` is the position of the first host in ``order`` whose
+    committed body admits the row (``len(order)`` if none): no host
+    before it can take the row, pending loads only make a fit harder.
+
+    Valid until the next commit.  :meth:`cover` fills ``first`` for the
+    rows of a run of upcoming sources whose length doubles per call, so
+    a sweep with few commits pays a handful of mask builds, and a commit
+    (which discards the index) wastes at most the rows of the sources
+    covered but not yet tried — never the whole fleet.
+    """
+
+    __slots__ = (
+        "order", "first", "_plan", "_sources", "_columns",
+        "_covered", "_span",
+    )
+
+    def __init__(
+        self,
+        caps: HostCapacities,
+        plan: IncrementalPlan,
+        live: List[int],
+        resources: List[Tuple[List[float], np.ndarray, np.ndarray]],
+        sources: List[int],
+    ) -> None:
+        nonempty = [h for h in live if plan.vm_rows_of_host[h]]
+        hosts = np.array(nonempty, dtype=np.intp)
+        body_cpu = np.array([plan.body_cpu[h] for h in nonempty])
+        body_mem = np.array([plan.body_mem[h] for h in nonempty])
+        cap_cpu = caps.cap_cpu_np[hosts]
+        cap_mem = caps.cap_mem_np[hosts]
+        residual = np.minimum(
+            (cap_cpu - body_cpu) / cap_cpu, (cap_mem - body_mem) / cap_mem
+        )
+        hosts = hosts[np.argsort(residual, kind="stable")]
+        self.order: List[int] = hosts.tolist()
+        self.first: Dict[int, int] = {}
+        self._plan = plan
+        self._sources = sources
+        # Per resource, bodies and capacity + 1e-9 in candidate order.
+        self._columns = [
+            (np.array([body[h] for h in self.order]), demand, eps[hosts])
+            for body, demand, eps in resources
+        ]
+        self._covered = 0
+        self._span = 1
+
+    def cover(self, position: int) -> None:
+        """Make ``first`` hold the rows of ``sources[position]``."""
+        if position < self._covered:
+            return
+        self._covered = position + self._span
+        self._span *= 2
+        vm_rows_of_host = self._plan.vm_rows_of_host
+        rows = [
+            row
+            for host in self._sources[position:self._covered]
+            for row in vm_rows_of_host[host]
+        ]
+        # One (rows x hosts) body-only admission mask: the same
+        # ``body + demand <= capacity + 1e-9`` the scan checks per host.
+        picked = np.array(rows, dtype=np.intp)
+        fits = np.ones((picked.size, len(self.order)), dtype=bool)
+        for body, demand, eps in self._columns:
+            fits &= body + demand[picked, None] <= eps
+        starts = np.where(
+            fits.any(axis=1), fits.argmax(axis=1), len(self.order)
+        )
+        self.first.update(zip(rows, starts.tolist()))
 
 
 def _try_vacate_array(
@@ -326,21 +404,16 @@ def _try_vacate_array(
     host_arrays: _HostArrays,
     plan: IncrementalPlan,
     source: int,
-    apps: np.ndarray,
-    alive_np: np.ndarray,
-    count_np: np.ndarray,
-    body_cpu_np: np.ndarray,
-    body_mem_np: np.ndarray,
+    index: _FitIndex,
     interval_hours: float,
 ) -> bool:
     """Array-backed twin of ``_try_vacate`` for one source host.
 
-    Two outcome-identical shortcuts on the reference: the migration-cost
-    gate is evaluated *before* the target search (it depends only on the
-    source's VM set, and a failing attempt changes no state either way),
-    and the first — largest — VM's candidate scan runs as one vectorized
-    mask (its pending loads are all zero).  Everything else replays the
-    reference's scalar folds move by move.
+    Each VM's scan starts at its first admissible position in the
+    sweep's :class:`_FitIndex` and replays the reference's exact
+    pending-load folds from there; an attempt with a VM no host admits
+    fails before any scan (the reference would fail at that VM, and a
+    failed attempt changes no state).
     """
     caps = host_arrays.caps
     cpu = plan.cpu
@@ -350,56 +423,11 @@ def _try_vacate_array(
     move_rows = sorted(
         plan.vm_rows_of_host[source], key=cpu.__getitem__, reverse=True
     )
-
-    if algorithm.consider_migration_cost:
-        cost_wh: float = 0
-        for cost in algorithm._cached_cost_many(
-            [mem[row] for row in move_rows]
-        ):
-            cost_wh = cost_wh + cost
-        benefit_wh = host_arrays.idle_watts[source] * interval_hours
-        if benefit_wh <= cost_wh:
-            return False
-
-    # Candidates: every other live, non-empty bin, appearance order.
-    mask = alive_np[apps] & (count_np[apps] > 0) & (apps != source)
-    candidates = apps[mask]
-    if candidates.size == 0:
+    order = index.order
+    first = index.first
+    n_order = len(order)
+    if max(map(first.__getitem__, move_rows)) == n_order:
         return False
-
-    # Vectorized first-VM admission: pending loads are all zero for the
-    # first VM, so the mask below is exactly the reference's fit checks.
-    first = move_rows[0]
-    fit0 = (
-        (body_cpu_np[candidates] + cpu[first]
-         <= caps.eps_cpu_np[candidates])
-        & (body_mem_np[candidates] + mem[first]
-           <= caps.eps_mem_np[candidates])
-    )
-    if net[first] or dsk[first]:
-        body_net_np = np.array(plan.body_net)
-        body_dsk_np = np.array(plan.body_dsk)
-        fit0 &= (
-            body_net_np[candidates] + net[first]
-            <= caps.eps_net_np[candidates]
-        ) & (
-            body_dsk_np[candidates] + dsk[first]
-            <= caps.eps_dsk_np[candidates]
-        )
-    if not fit0.any():
-        return False
-
-    # Fullest-first candidate order: min normalized slack, stable on
-    # appearance — the reference's sorted(..., key=residual).
-    residual = np.minimum(
-        (caps.cap_cpu_np[candidates] - body_cpu_np[candidates])
-        / caps.cap_cpu_np[candidates],
-        (caps.cap_mem_np[candidates] - body_mem_np[candidates])
-        / caps.cap_mem_np[candidates],
-    )
-    cand_order = np.lexsort((np.arange(candidates.size), residual))
-    cand = candidates[cand_order].tolist()
-    fit0_ordered = fit0[cand_order]
 
     body_cpu = plan.body_cpu
     body_mem = plan.body_mem
@@ -415,47 +443,33 @@ def _try_vacate_array(
     pend_mem: Dict[int, float] = {}
     pend_net: Dict[int, float] = {}
     pend_dsk: Dict[int, float] = {}
-
-    first_pick = int(np.argmax(fit0_ordered))
-    moves: List[tuple] = [(first, cand[first_pick])]
-    pend_cpu[cand[first_pick]] = cpu[first]
-    pend_mem[cand[first_pick]] = mem[first]
-    pend_net[cand[first_pick]] = net[first]
-    pend_dsk[cand[first_pick]] = dsk[first]
-
-    for row in move_rows[1:]:
+    moves: List[Tuple[int, int]] = []
+    for row in move_rows:
         d_cpu = cpu[row]
         d_mem = mem[row]
         d_net = net[row]
         d_dsk = dsk[row]
         target = -1
-        for host in cand:
+        for host in order[first[row]:]:
             # Body-only prefilter: pending loads are non-negative and
             # the float fold is monotone, so failing without pending
-            # implies failing with it.  Most candidates fail here with
-            # one add + compare; the exact pending fold runs only on
-            # prefilter survivors.
-            if (
+            # implies failing with it.  The exact pending fold runs only
+            # on prefilter survivors.
+            if host == source or not (
                 body_cpu[host] + d_cpu <= eps_cpu[host]
                 and body_mem[host] + d_mem <= eps_mem[host]
                 and body_net[host] + d_net <= eps_net[host]
                 and body_dsk[host] + d_dsk <= eps_dsk[host]
             ):
-                if host not in pend_cpu:
-                    target = host
-                    break
-                if (
-                    body_cpu[host] + pend_cpu[host] + d_cpu
-                    <= eps_cpu[host]
-                    and body_mem[host] + pend_mem[host] + d_mem
-                    <= eps_mem[host]
-                    and body_net[host] + pend_net[host] + d_net
-                    <= eps_net[host]
-                    and body_dsk[host] + pend_dsk[host] + d_dsk
-                    <= eps_dsk[host]
-                ):
-                    target = host
-                    break
+                continue
+            if host not in pend_cpu or (
+                body_cpu[host] + pend_cpu[host] + d_cpu <= eps_cpu[host]
+                and body_mem[host] + pend_mem[host] + d_mem <= eps_mem[host]
+                and body_net[host] + pend_net[host] + d_net <= eps_net[host]
+                and body_dsk[host] + pend_dsk[host] + d_dsk <= eps_dsk[host]
+            ):
+                target = host
+                break
         if target < 0:
             return False
         moves.append((row, target))
@@ -464,30 +478,27 @@ def _try_vacate_array(
         pend_net[target] = pend_net.get(target, 0.0) + d_net
         pend_dsk[target] = pend_dsk.get(target, 0.0) + d_dsk
 
+    # The reference's cost gate, after the target search as there.
+    if algorithm.consider_migration_cost:
+        cost_wh = sum(algorithm._cached_cost(mem[row]) for row, _ in moves)
+        benefit_wh = host_arrays.idle_watts[source] * interval_hours
+        if benefit_wh <= cost_wh:
+            return False
+
     # Commit: sequential per-move adds with the reference's re-check
     # (Bin.add validates against the *committed* state, whose folds can
     # differ from body + pending in the last ulp).
     for row, target in moves:
-        d_cpu = cpu[row]
-        d_mem = mem[row]
-        d_net = net[row]
-        d_dsk = dsk[row]
         if not (
-            body_cpu[target] + d_cpu <= eps_cpu[target]
-            and body_mem[target] + d_mem <= eps_mem[target]
-            and body_net[target] + d_net <= eps_net[target]
-            and body_dsk[target] + d_dsk <= eps_dsk[target]
+            body_cpu[target] + cpu[row] <= eps_cpu[target]
+            and body_mem[target] + mem[row] <= eps_mem[target]
+            and body_net[target] + net[row] <= eps_net[target]
+            and body_dsk[target] + dsk[row] <= eps_dsk[target]
         ):
             raise PlacementError(
                 f"{plan.vm_ids[row]} does not fit on "
                 f"{host_arrays.host_ids[target]}"
             )
         plan.assign(row, target)
-        body_cpu_np[target] = body_cpu[target]
-        body_mem_np[target] = body_mem[target]
-        count_np[target] += 1
     plan.clear_host(source)
-    body_cpu_np[source] = 0.0
-    body_mem_np[source] = 0.0
-    count_np[source] = 0
     return True

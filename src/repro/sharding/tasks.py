@@ -113,9 +113,10 @@ def chunked_source(directory: Union[str, Path]) -> Dict[str, object]:
     """Source document for a chunked on-disk store.
 
     The manifest hash rides in the document: it addresses the store's
-    *content* (VM roster, geometry, matrix files are manifest-pinned),
-    so shard-task cache entries are invalidated when the store is
-    rewritten, and never by a mere path change.
+    *content*, since the manifest holds the VM roster, the geometry and
+    a SHA-256 of every matrix's bytes.  Shard-task cache entries are
+    therefore invalidated when the store is rewritten with other data,
+    and never by a mere path change.
     """
     path = Path(directory)
     manifest = path / MANIFEST_NAME

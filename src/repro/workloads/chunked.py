@@ -12,7 +12,8 @@ pattern of sharded planning: each worker faults in only its shard's rows.
 
 Layout of a store directory::
 
-    <dir>/manifest.json   identity + per-VM metadata (JSON)
+    <dir>/manifest.json   identity, geometry, per-matrix SHA-256 and
+                          per-VM metadata (JSON)
     <dir>/cpu_util.npy    (n_servers, n_points) float64
     <dir>/cpu_rpe2.npy    (n_servers, n_points) float64
     <dir>/memory_gb.npy   (n_servers, n_points) float64
@@ -20,7 +21,8 @@ Layout of a store directory::
 The absolute-CPU matrix is derived block-by-block at *write* time with
 the same broadcast multiply as :meth:`TraceStore.from_traces`, so an
 opened store is bit-identical to the in-memory store built from the same
-traces.
+traces.  The manifest records a SHA-256 of every matrix's data bytes,
+so hashing the manifest alone addresses the whole store's content.
 
 :class:`ChunkedTraceWriter` streams row blocks into the files without
 ever holding the full fleet in memory; :func:`write_trace_set` spills an
@@ -31,6 +33,7 @@ directory back into planner-consumable objects.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,6 +98,7 @@ class ChunkedManifest:
 
     name: str
     interval_hours: float
+    n_points: int
     vms: Tuple[dict, ...]
 
     def __post_init__(self) -> None:
@@ -138,6 +142,8 @@ class ChunkedTraceWriter:
     filesystems that support them) and fills them block by block, so
     peak memory is one block — not one fleet.  Rows must arrive in
     order; :meth:`close` refuses to finalize a partially written store.
+    Each matrix's SHA-256 is streamed block by block as rows are written
+    and published in the manifest.
     """
 
     def __init__(
@@ -176,6 +182,7 @@ class ChunkedTraceWriter:
             )
             for metric in _MATRIX_FILES
         }
+        self._digests = {metric: hashlib.sha256() for metric in _MATRIX_FILES}
 
     @property
     def rows_written(self) -> int:
@@ -220,6 +227,10 @@ class ChunkedTraceWriter:
         np.multiply(
             block, capacity, out=self._matrices["cpu_rpe2"][self._cursor:stop]
         )
+        # Rows arrive in order, so block digests chain into the digest
+        # of each whole C-ordered matrix.
+        for metric, digest in self._digests.items():
+            digest.update(self._matrices[metric][self._cursor:stop])
         self._vms.extend(vm_records)
         self._cursor = stop
 
@@ -253,6 +264,10 @@ class ChunkedTraceWriter:
             "interval_hours": self._interval_hours,
             "n_servers": self._n_servers,
             "n_points": self._n_points,
+            "sha256": {
+                metric: digest.hexdigest()
+                for metric, digest in self._digests.items()
+            },
             "vms": self._vms,
         }
         path = self._directory / MANIFEST_NAME
@@ -352,6 +367,7 @@ def load_manifest(directory: Union[str, Path]) -> ChunkedManifest:
     return ChunkedManifest(
         name=raw["name"],
         interval_hours=float(raw["interval_hours"]),
+        n_points=int(raw["n_points"]),
         vms=tuple(raw["vms"]),
     )
 
@@ -369,6 +385,8 @@ def open_chunked_store(
     to the in-memory store built from the same traces.  Pass an
     already-loaded ``manifest`` to skip re-parsing it — at 100k rows
     the manifest is tens of MB of JSON, a real cost per shard task.
+    Every matrix must have the manifest's full ``(n_servers, n_points)``
+    float64 shape; a truncated or foreign file raises :class:`TraceError`.
     """
     base = Path(directory)
     if manifest is None:
@@ -378,14 +396,17 @@ def open_chunked_store(
         path = base / f"{metric}.npy"
         if not path.is_file():
             raise TraceError(f"chunked store missing matrix file {path}")
-        matrices[metric] = np.load(path, mmap_mode="r")
-    expected = (manifest.n_servers, None)
-    for metric, matrix in matrices.items():
-        if matrix.ndim != 2 or matrix.shape[0] != expected[0]:
+        try:
+            matrix = np.load(path, mmap_mode="r")
+        except ValueError as exc:  # header promises more bytes than exist
+            raise TraceError(f"chunked store {path}: {exc}") from exc
+        expected = (manifest.n_servers, manifest.n_points)
+        if matrix.shape != expected or matrix.dtype != np.float64:
             raise TraceError(
-                f"chunked store {metric}: shape {matrix.shape} does not "
-                f"match manifest ({manifest.n_servers} servers)"
+                f"chunked store {metric}: {matrix.dtype} {matrix.shape} "
+                f"does not match manifest float64 {expected}"
             )
+        matrices[metric] = matrix
     return TraceStore(
         vm_ids=manifest.vm_ids,
         cpu_util=matrices["cpu_util"],

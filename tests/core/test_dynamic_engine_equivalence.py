@@ -12,12 +12,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.dynamic_vector as dynamic_vector
 from repro.constraints.affinity import AntiColocate
 from repro.constraints.manager import ConstraintSet
 from repro.core.base import PlanningConfig, PlanningContext
 from repro.core.dynamic import DynamicConsolidation
 from repro.core.powercap import PowerBudgetedConsolidation
 from repro.exceptions import ConfigurationError
+from repro.migration.cost import MigrationCostModel
 from repro.sizing.network import DiskDemandModel, NetworkDemandModel
 from repro.sizing.prediction import (
     EwmaPredictor,
@@ -160,3 +162,103 @@ def test_powercap_subclass_keeps_override_under_auto(small_pool) -> None:
     _assert_schedules_identical(
         budgeted_scalar.plan(context), budgeted_auto.plan(context)
     )
+
+
+class _VacateSpy:
+    """Records which array vacate paths run, sweep by sweep.
+
+    Per planned interval a list of sweeps; per sweep the fit-index
+    builds, committed vacates, and attempts the cost gate rejected (an
+    attempt that priced its moves yet returned False — the gate runs
+    only after every VM found a target).  ``resources`` collects how
+    many resources each index build checked (4 once I/O is non-zero).
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self.intervals: list = []
+        self.resources: set = set()
+        self.cost_calls = 0
+        self._live = None
+        spy = self
+        vacate = dynamic_vector._vacate_intervals_hosts
+        attempt = dynamic_vector._try_vacate_array
+        fit_index = dynamic_vector._FitIndex
+        cached_cost = DynamicConsolidation._cached_cost
+
+        def spy_vacate(*args):
+            spy.intervals.append([])
+            spy._live = None
+            return vacate(*args)
+
+        class SpyIndex(fit_index):
+            __slots__ = ()
+
+            def __init__(self, caps, plan, live, resources, sources) -> None:
+                # Each sweep scans a fresh ``live`` list; the spy keeps
+                # a reference, so identity marks sweep boundaries.
+                if live is not spy._live:
+                    spy._live = live
+                    spy.intervals[-1].append(
+                        {"builds": 0, "commits": 0, "cost_rejects": 0}
+                    )
+                spy.intervals[-1][-1]["builds"] += 1
+                spy.resources.add(len(resources))
+                super().__init__(caps, plan, live, resources, sources)
+
+        def spy_attempt(*args):
+            priced = spy.cost_calls
+            committed = attempt(*args)
+            sweep = spy.intervals[-1][-1]
+            if committed:
+                sweep["commits"] += 1
+            elif spy.cost_calls > priced:
+                sweep["cost_rejects"] += 1
+            return committed
+
+        def spy_cost(algorithm, memory_gb):
+            spy.cost_calls += 1
+            return cached_cost(algorithm, memory_gb)
+
+        for name, spy_fn in (
+            ("_vacate_intervals_hosts", spy_vacate),
+            ("_try_vacate_array", spy_attempt),
+            ("_FitIndex", SpyIndex),
+        ):
+            monkeypatch.setattr(dynamic_vector, name, spy_fn)
+        monkeypatch.setattr(DynamicConsolidation, "_cached_cost", spy_cost)
+
+    @property
+    def sweeps(self) -> list:
+        return [sweep for interval in self.intervals for sweep in interval]
+
+
+@pytest.mark.parametrize("seed, sla_cost", [(5, 3.0), (23, 3.5)])
+def test_every_vacate_path_runs_and_agrees(
+    small_pool, monkeypatch, seed, sla_cost
+) -> None:
+    """Index rebuilds, cost-gate rejects and I/O checks, pinned to scalar.
+
+    A pricier SLA term makes the cost gate reject some attempts while
+    cheaper vacates still commit, several per sweep, so the fit index is
+    rebuilt mid-sweep and intervals run a second sweep.
+    """
+    config = PlanningConfig(
+        network=NetworkDemandModel(), disk=DiskDemandModel()
+    )
+    context = _context(small_pool, n_vms=24, config=config, seed=seed)
+    cost = MigrationCostModel(sla_cost_per_second=sla_cost)
+    scalar = DynamicConsolidation(
+        engine="scalar", migration_cost=cost
+    ).plan(context)
+    spy = _VacateSpy(monkeypatch)
+    array = DynamicConsolidation(
+        engine="array", migration_cost=cost
+    ).plan(context)
+    _assert_schedules_identical(scalar, array)
+
+    sweeps = spy.sweeps
+    assert spy.resources == {4}, "net/disk demands must reach the index"
+    assert sum(sweep["cost_rejects"] for sweep in sweeps) >= 1
+    assert max(sweep["commits"] for sweep in sweeps) >= 2
+    assert max(sweep["builds"] for sweep in sweeps) >= 2
+    assert max(len(interval) for interval in spy.intervals) >= 2

@@ -13,7 +13,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.correlation import cluster_by_peaks
+from repro.analysis.correlation import (
+    _peak_envelopes,
+    cluster_by_peaks,
+    peak_envelope,
+)
 from repro.constraints.affinity import AntiColocate
 from repro.constraints.manager import ConstraintSet
 from repro.core.base import PlanningConfig, PlanningContext
@@ -151,3 +155,74 @@ def test_cluster_engines_agree_on_flat_envelopes() -> None:
 def test_cluster_unknown_engine_rejected(flat_trace_set) -> None:
     with pytest.raises(TraceError):
         cluster_by_peaks(flat_trace_set, engine="gpu")
+
+
+def _assert_cluster_engines_agree(traces, **kwargs):
+    scalar = cluster_by_peaks(traces, engine="scalar", **kwargs)
+    matrix = cluster_by_peaks(traces, engine="matrix", **kwargs)
+    assert scalar == matrix
+    return matrix
+
+
+@pytest.mark.parametrize("threshold", [0.25, 1.0])
+def test_cluster_engines_agree_on_flat_and_tied_peaks(threshold) -> None:
+    """Flat rows (empty unions), equal peaks and duplicated envelopes."""
+    hours = 48
+    traces = TraceSet(name="ties")
+    burst = np.full(hours, 0.1)
+    burst[[3, 9, 17, 22, 30, 35, 40, 44]] = np.linspace(0.4, 0.7, 8)
+    for i in range(4):
+        traces.add(make_server_trace(f"dup{i}", burst, np.full(hours, 1.0)))
+    for i in range(3):
+        traces.add(
+            make_server_trace(
+                f"flat{i}", np.full(hours, 0.7), np.full(hours, 1.0)
+            )
+        )
+    shifted = np.roll(burst, 5)
+    traces.add(make_server_trace("shifted", shifted, np.full(hours, 1.0)))
+    clusters = _assert_cluster_engines_agree(
+        traces, similarity_threshold=threshold
+    )
+    # Identical envelopes reach even a 1.0 threshold; empty ones never do.
+    assert len({clusters.cluster_for(f"dup{i}") for i in range(4)}) == 1
+    assert len({clusters.cluster_for(f"flat{i}") for i in range(3)}) == 3
+
+
+def test_cluster_engines_agree_when_most_vms_found_clusters() -> None:
+    """Uncorrelated bursts: nearly every VM founds its own cluster."""
+    rng = np.random.default_rng(41)
+    hours = 72
+    traces = TraceSet(name="peaked")
+    for i in range(120):
+        util = rng.uniform(0.05, 0.1, hours)
+        util[rng.choice(hours, size=8, replace=False)] += 0.5
+        traces.add(make_server_trace(f"vm{i:03d}", util, np.ones(hours)))
+    clusters = _assert_cluster_engines_agree(
+        traces, similarity_threshold=0.6
+    )
+    assert clusters.n_clusters >= 0.9 * len(traces)
+
+
+@pytest.mark.parametrize("quantile", [0.5, 0.9, 0.95, 0.99])
+def test_rowwise_envelopes_equal_peak_envelope(
+    generated_trace_set, quantile
+) -> None:
+    """One axis=1 quantile gives every row's peak_envelope exactly."""
+    flat = TraceSet(name="flat-mix")
+    for trace in generated_trace_set:
+        flat.add(trace)
+    hours = generated_trace_set.n_points
+    # Rare bursts on a flat floor put the quantile at the minimum:
+    # peak_envelope calls that row flat despite samples above it.
+    sparse = np.full(hours, 0.3)
+    sparse[[5, 50]] = 0.9
+    for name, util in (("flat", np.full(hours, 0.3)), ("sparse", sparse)):
+        flat.add(make_server_trace(name, util, np.ones(hours)))
+    matrix = flat.cpu_rpe2_matrix()
+    envelopes = _peak_envelopes(matrix, quantile)
+    for row, trace in enumerate(flat):
+        np.testing.assert_array_equal(
+            envelopes[row], peak_envelope(trace.cpu_rpe2, quantile)
+        )
+    assert not envelopes[-2].any()

@@ -84,6 +84,25 @@ class TestSourceDocuments:
             != chunked_source(rewritten)["fingerprint"]
         )
 
+    def test_fingerprint_covers_matrix_bytes(self, tmp_path) -> None:
+        """Two seeds share roster and geometry but not demand bytes."""
+        import json
+
+        sources = []
+        manifests = []
+        for seed in (1, 2):
+            directory = tmp_path / f"seed{seed}"
+            write_trace_set(
+                generate_datacenter("banking", scale=0.02, days=2, seed=seed),
+                directory,
+            )
+            sources.append(chunked_source(directory))
+            manifest = json.loads((directory / "manifest.json").read_text())
+            manifest.pop("sha256")
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
+        assert sources[0]["fingerprint"] != sources[1]["fingerprint"]
+
 
 class TestShardPlanTask:
     def test_task_identity(self, chunk_dir, small_traces) -> None:

@@ -213,6 +213,36 @@ class TestOpenValidation:
         with pytest.raises(TraceError, match="missing matrix file"):
             open_chunked_store(tmp_path)
 
+    def test_truncated_matrix_detected(self, traces, tmp_path) -> None:
+        """A matrix short of the manifest's n_points is refused on open."""
+        write_trace_set(traces, tmp_path)
+        path = tmp_path / "cpu_rpe2.npy"
+        np.save(path, np.load(path)[:, :-1])
+        with pytest.raises(TraceError, match="does not match manifest"):
+            open_chunked_store(tmp_path)
+
+    def test_cut_matrix_file_detected(self, traces, tmp_path) -> None:
+        """A file cut short of its own header's shape raises typed."""
+        write_trace_set(traces, tmp_path)
+        path = tmp_path / "memory_gb.npy"
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(TraceError, match="memory_gb"):
+            open_chunked_store(tmp_path)
+
+    def test_manifest_pins_matrix_digests(self, traces, tmp_path) -> None:
+        """Block-streamed digests equal one hash over each whole matrix."""
+        import hashlib
+        import json
+
+        write_trace_set(traces, tmp_path, block_rows=4)
+        digests = json.loads((tmp_path / "manifest.json").read_text())[
+            "sha256"
+        ]
+        store = traces.store
+        for metric in ("cpu_util", "cpu_rpe2", "memory_gb"):
+            data = np.ascontiguousarray(getattr(store, metric)).tobytes()
+            assert digests[metric] == hashlib.sha256(data).hexdigest()
+
     def test_unsupported_format_version(self, traces, tmp_path) -> None:
         write_trace_set(traces, tmp_path)
         manifest = tmp_path / "manifest.json"
